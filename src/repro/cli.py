@@ -780,6 +780,7 @@ def _add_trace_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_backend_flags(p: argparse.ArgumentParser) -> None:
     from .engine.cache import available_backends
+    from .engine.witness_store import REPLAY_MODES
 
     p.add_argument(
         "--cache-backend", default="sqlite", dest="cache_backend",
@@ -802,11 +803,10 @@ def _add_engine_backend_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--witness-replay", default="structural", dest="witness_replay",
-        choices=("exact", "structural", "off"),
-        help="witness replay ladder: exact = hash-equal rungs only, "
-        "structural (default) = also replay signature-compatible "
-        "witnesses via two fresh hom-checks, off = record but never "
-        "replay",
+        choices=REPLAY_MODES,
+        help="witness replay: structural (default) = replay stored "
+        "witnesses of the same hashes or predicate signatures via cheap "
+        "hom-checks, off = record but never replay",
     )
 
 

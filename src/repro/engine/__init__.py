@@ -14,6 +14,10 @@ A service-shaped layer over the per-call library API:
 * :mod:`~repro.engine.witness_store` — the catalog's negative dual: a
   persistent store of NOT_CONTAINED counterexamples, replayed as single
   hom-checks ahead of the full decision procedures;
+* :mod:`~repro.engine.durable` — the one sqlite durable-store contract
+  (WAL, busy timeout, version stamps, rebuild on corruption, transient
+  errors on contention) under the cache's sqlite backend, the catalog
+  and the witness store;
 * :mod:`~repro.engine.pool` — a crash-isolated multiprocessing pool with
   per-task timeouts and a deterministic serial fallback;
 * :mod:`~repro.engine.scheduler` — async submission (:class:`JobHandle`,

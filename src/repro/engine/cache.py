@@ -23,21 +23,15 @@ Design (see DESIGN.md, "Batch engine" and section 8):
 
   ``register_backend`` admits external implementations (e.g. a networked
   store) without touching this module.
-* **Corruption tolerance**: the cache must never take down a query.  Every
-  backend/pickle failure degrades to a miss; a structurally bad sqlite
-  file (not a database, wrong schema version, wrong canon version) is
-  deleted and rebuilt on open.  The sharded backend bakes both version
-  stamps into its directory name, so a version bump simply starts a fresh
-  directory.
-* **Contention tolerance**: several processes may share one
-  ``cache_dir`` (parallel batch runs, CI shards).  The sqlite backend
-  opens in WAL mode with a busy timeout, and a *transient*
-  ``sqlite3.OperationalError`` (``database is locked``, disk I/O
-  hiccups) only ever costs that one lookup/store — the file is **not**
-  discarded; deletion is reserved for genuine corruption
-  (``sqlite3.DatabaseError`` and bad version stamps).  The sharded
-  backend is contention-free by construction: concurrent writers race on
-  ``os.replace``, and either complete entry wins.
+* **Failure tolerance**: the cache must never take down a query.  Every
+  backend/pickle failure degrades to a miss.  The sqlite file follows
+  the durable-store contract of :mod:`repro.engine.durable` (WAL, busy
+  timeout, version stamps; a damaged or stale file is rebuilt, a lock
+  costs one lookup/store and leaves the file alone).  The sharded
+  backend bakes both version stamps into its directory name, so a
+  version bump simply starts a fresh directory; it is contention-free
+  by construction: concurrent writers race on ``os.replace``, and either
+  complete entry wins.
 * The in-memory LRU fronts the disk store so warm-batch lookups never
   touch the backend; it registers with :mod:`repro.engine.registry` so
   ``repro.clear_caches()`` empties it.
@@ -48,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import sqlite3
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -57,16 +50,13 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import registry
 from .canon import CANON_VERSION
+from .durable import DurableStore
 from .metrics import MetricsRegistry
 
 #: Bump when the on-disk layout changes; old stores are discarded on open.
 SCHEMA_VERSION = "1"
 
 _DB_NAME = "repro-cache.sqlite"
-
-#: How long a connection waits on a locked database before giving up.
-#: Kept module-level so tests can shrink it without a 5s stall.
-_BUSY_TIMEOUT_MS = 5_000
 
 
 class CacheBackend:
@@ -83,9 +73,9 @@ class CacheBackend:
     #: Registry name; also reported by ``ResultCache.stats()["backend"]``.
     name = "abstract"
 
-    def __init__(self) -> None:
-        self.recoveries = 0
-        self.transient_errors = 0
+    #: Failure counters (instance attributes once a backend counts one).
+    recoveries = 0
+    transient_errors = 0
 
     @property
     def persistent(self) -> bool:
@@ -117,194 +107,59 @@ class CacheBackend:
 
 
 class SqliteBackend(CacheBackend):
-    """The WAL-mode sqlite file store (single host, many processes)."""
+    """The WAL-mode sqlite file store (single host, many processes); the
+    file follows the :mod:`repro.engine.durable` contract."""
 
     name = "sqlite"
 
     def __init__(self, cache_dir: str) -> None:
-        super().__init__()
-        self._path = Path(cache_dir) / _DB_NAME
-        self._conn: Optional[sqlite3.Connection] = None
-        self._open()
-
-    # -- connection management -------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        """One configured connection: WAL for multi-process readers/writers,
-        a busy timeout so concurrent commits wait instead of erroring."""
-        conn = sqlite3.connect(str(self._path), check_same_thread=False)
-        # WAL probes the file header, so a corrupt file fails here (as a
-        # DatabaseError) before any query runs.
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_MS)}")
-        return conn
-
-    def _create_tables(self, conn: sqlite3.Connection) -> None:
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta "
-            "(key TEXT PRIMARY KEY, value TEXT)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS results "
-            "(key TEXT PRIMARY KEY, payload BLOB, created REAL)"
+        self._db = DurableStore(
+            str(Path(cache_dir) / _DB_NAME),
+            [
+                "CREATE TABLE IF NOT EXISTS results "
+                "(key TEXT PRIMARY KEY, payload BLOB, created REAL)"
+            ],
+            SCHEMA_VERSION,
         )
 
-    def _open(self) -> None:
-        """Open (or rebuild) the sqlite file; never raises."""
-        try:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            conn = self._connect()
-            self._create_tables(conn)
-            stamps = dict(conn.execute("SELECT key, value FROM meta"))
-            expected = {
-                "schema_version": SCHEMA_VERSION,
-                "canon_version": CANON_VERSION,
-            }
-            if stamps and stamps != expected:
-                conn.close()
-                self._discard_file()
-                conn = self._connect()
-                self._create_tables(conn)
-                stamps = {}
-            if not stamps:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                    sorted(expected.items()),
-                )
-                conn.commit()
-            self._conn = conn
-        except sqlite3.OperationalError:
-            # Transient (locked/busy/unopenable): run memory-only for now,
-            # but leave the shared file alone — another process may be
-            # using it perfectly well.
-            self.transient_errors += 1
-            self._conn = None
-        except (sqlite3.Error, OSError):
-            self._recover()
+    @property
+    def recoveries(self) -> int:  # type: ignore[override]
+        return self._db.recoveries
 
-    def _discard_file(self) -> None:
-        self.recoveries += 1
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(str(self._path) + suffix)
-            except OSError:
-                pass
-
-    def _degrade(self) -> None:
-        """A transient failure (``database is locked``, I/O hiccup): count
-        it, roll back any half-open transaction, and move on.  The file is
-        shared state other processes rely on — never delete it for this."""
-        self.transient_errors += 1
-        if self._conn is not None:
-            try:
-                self._conn.rollback()
-            except sqlite3.Error:
-                pass
-
-    def _recover(self) -> None:
-        """Genuine corruption: throw the file away and start over; give up
-        disk on repeat failure."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-        self._discard_file()
-        try:
-            conn = self._connect()
-            self._create_tables(conn)
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                sorted(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "canon_version": CANON_VERSION,
-                    }.items()
-                ),
-            )
-            conn.commit()
-            self._conn = conn
-        except (sqlite3.Error, OSError):
-            self._conn = None  # run memory-only from here on
-
-    # -- CacheBackend ------------------------------------------------------
+    @property
+    def transient_errors(self) -> int:  # type: ignore[override]
+        return self._db.transient_errors
 
     @property
     def persistent(self) -> bool:
-        return self._conn is not None
+        return self._db.persistent
 
     def load(self, key: str) -> Optional[bytes]:
-        if self._conn is None:
-            return None
-        try:
-            row = self._conn.execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)
-            ).fetchone()
-        except sqlite3.OperationalError:
-            self._degrade()
-            return None
-        except sqlite3.Error:
-            self._recover()
-            return None
-        return row[0] if row is not None else None
+        rows = self._db.read(
+            "SELECT payload FROM results WHERE key = ?", (key,)
+        )
+        return rows[0][0] if rows else None
 
     def store(self, key: str, payload: bytes) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute(
+        self._db.write(
+            (
                 "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
-                (key, payload, time.time()),
+                [(key, payload, time.time())],
             )
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
+        )
 
     def delete(self, key: str) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
+        self._db.write(("DELETE FROM results WHERE key = ?", [(key,)]))
 
     def clear(self) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute("DELETE FROM results")
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
+        self._db.write(("DELETE FROM results", [()]))
 
     def count(self) -> int:
-        if self._conn is None:
-            return 0
-        try:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()[0]
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
-        return 0
+        rows = self._db.read("SELECT COUNT(*) FROM results")
+        return rows[0][0] if rows else 0
 
     def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
+        self._db.close()
 
 
 class ShardedDirBackend(CacheBackend):
@@ -328,7 +183,6 @@ class ShardedDirBackend(CacheBackend):
     name = "sharded"
 
     def __init__(self, cache_dir: str) -> None:
-        super().__init__()
         self.root = (
             Path(cache_dir)
             / f"repro-cache-shards-v{SCHEMA_VERSION}-c{CANON_VERSION}"

@@ -31,30 +31,23 @@ answer UNKNOWN for one member of a group and CONTAINED for another;
 serving the cached UNKNOWN to an equivalent query loses an answer we
 might have found, but never reports a wrong verdict.
 
-Persistence mirrors the result cache's robustness contract: sqlite with
-WAL + busy timeout, version stamps in a ``meta`` table (schema + canon —
-a canon bump invalidates every hash in the file), transient errors
-degrade to memory-only operation, genuine corruption discards the file
-and rebuilds.  Representatives are chosen deterministically (the
-lexicographically least hash in the group), so concurrent sessions
-converge on the same reps and their rep-based cache keys agree.
+Persistence is the durable-store contract of :mod:`repro.engine.durable`
+(a canon bump invalidates every hash in the file, so it is discarded).
+Representatives are chosen deterministically (the lexicographically
+least hash in the group), so concurrent sessions converge on the same
+reps and their rep-based cache keys agree.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
-from pathlib import Path
 from threading import RLock
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .canon import CANON_VERSION
+from .durable import DurableStore
 
 #: Bump when the catalog's sqlite layout changes.
 CATALOG_SCHEMA_VERSION = "1"
-
-#: How long a connection waits on a locked catalog before giving up.
-_BUSY_TIMEOUT_MS = 5_000
 
 
 class OMQCatalog:
@@ -72,128 +65,25 @@ class OMQCatalog:
         #: directed CONTAINED facts between *raw* hashes.
         self._edges: Set[Tuple[str, str]] = set()
         self.merges = 0
-        self.recoveries = 0
-        self.transient_errors = 0
-        self._path = Path(path) if path is not None else None
-        self._conn: Optional[sqlite3.Connection] = None
-        if self._path is not None:
-            self._open()
-            self._condense()
-
-    # -- persistence ------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        assert self._path is not None
-        conn = sqlite3.connect(str(self._path), check_same_thread=False)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_MS)}")
-        return conn
-
-    def _create_tables(self, conn: sqlite3.Connection) -> None:
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta "
-            "(key TEXT PRIMARY KEY, value TEXT)"
+        self._db = DurableStore(
+            path,
+            [
+                "CREATE TABLE IF NOT EXISTS members "
+                "(hash TEXT PRIMARY KEY, rep TEXT)",
+                "CREATE TABLE IF NOT EXISTS edges "
+                "(src TEXT, dst TEXT, PRIMARY KEY (src, dst))",
+            ],
+            CATALOG_SCHEMA_VERSION,
+            load=self._load,
         )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS members "
-            "(hash TEXT PRIMARY KEY, rep TEXT)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS edges "
-            "(src TEXT, dst TEXT, PRIMARY KEY (src, dst))"
-        )
+        self._condense()
 
-    def _expected_stamps(self) -> Dict[str, str]:
-        return {
-            "schema_version": CATALOG_SCHEMA_VERSION,
-            "canon_version": CANON_VERSION,
-        }
-
-    def _open(self) -> None:
-        """Open (or rebuild) the catalog file and load it; never raises."""
-        assert self._path is not None
-        try:
-            if self._path.parent != Path(""):
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-            conn = self._connect()
-            self._create_tables(conn)
-            stamps = dict(conn.execute("SELECT key, value FROM meta"))
-            if stamps and stamps != self._expected_stamps():
-                # A canon bump means every stored hash speaks a dead
-                # dialect: discard, don't migrate.
-                conn.close()
-                self._discard_file()
-                conn = self._connect()
-                self._create_tables(conn)
-                stamps = {}
-            if not stamps:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                    sorted(self._expected_stamps().items()),
-                )
-                conn.commit()
-            for h, rep in conn.execute("SELECT hash, rep FROM members"):
-                self._parent[h] = rep
-                self._parent.setdefault(rep, rep)
-            for src, dst in conn.execute("SELECT src, dst FROM edges"):
-                self._edges.add((src, dst))
-            self._conn = conn
-        except sqlite3.OperationalError:
-            self.transient_errors += 1
-            self._conn = None
-        except (sqlite3.Error, OSError):
-            self._recover()
-
-    def _discard_file(self) -> None:
-        assert self._path is not None
-        self.recoveries += 1
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(str(self._path) + suffix)
-            except OSError:
-                pass
-
-    def _degrade(self) -> None:
-        self.transient_errors += 1
-        if self._conn is not None:
-            try:
-                self._conn.rollback()
-            except sqlite3.Error:
-                pass
-
-    def _recover(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-        if self._path is None:
-            return
-        self._discard_file()
-        try:
-            conn = self._connect()
-            self._create_tables(conn)
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                sorted(self._expected_stamps().items()),
-            )
-            conn.commit()
-            self._conn = conn
-        except (sqlite3.Error, OSError):
-            self._conn = None  # memory-only from here on
-
-    def _persist(self, sql: str, rows: Iterable[tuple]) -> None:
-        """Best-effort write-through of one statement over *rows*."""
-        if self._conn is None:
-            return
-        try:
-            self._conn.executemany(sql, list(rows))
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
+    def _load(self, conn: sqlite3.Connection) -> None:
+        for h, rep in conn.execute("SELECT hash, rep FROM members"):
+            self._parent[h] = rep
+            self._parent.setdefault(rep, rep)
+        for src, dst in conn.execute("SELECT src, dst FROM edges"):
+            self._edges.add((src, dst))
 
     # -- union-find -------------------------------------------------------
 
@@ -218,22 +108,12 @@ class OMQCatalog:
         keep, fold = (ra, rb) if ra < rb else (rb, ra)
         self._parent[fold] = keep
         self.merges += 1
-        if self._conn is not None:
-            # Rewrite every member of the folded group, then record both
-            # hashes themselves.
-            try:
-                self._conn.execute(
-                    "UPDATE members SET rep = ? WHERE rep = ?", (keep, fold)
-                )
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO members VALUES (?, ?)",
-                    (fold, keep),
-                )
-                self._conn.commit()
-            except sqlite3.OperationalError:
-                self._degrade()
-            except sqlite3.Error:
-                self._recover()
+        # Rewrite every member of the folded group, then record the
+        # folded root itself.
+        self._db.write(
+            ("UPDATE members SET rep = ? WHERE rep = ?", [(keep, fold)]),
+            ("INSERT OR REPLACE INTO members VALUES (?, ?)", [(fold, keep)]),
+        )
         return True
 
     def _condense(self) -> None:
@@ -299,7 +179,15 @@ class OMQCatalog:
 
     @property
     def persistent(self) -> bool:
-        return self._conn is not None
+        return self._db.persistent
+
+    @property
+    def recoveries(self) -> int:
+        return self._db.recoveries
+
+    @property
+    def transient_errors(self) -> int:
+        return self._db.transient_errors
 
     def rep(self, h: str) -> str:
         """The canonical representative of *h*'s equivalence group
@@ -324,12 +212,12 @@ class OMQCatalog:
             self._edges.add((h1, h2))
             self._parent.setdefault(h1, h1)
             self._parent.setdefault(h2, h2)
-            self._persist(
-                "INSERT OR IGNORE INTO edges VALUES (?, ?)", [(h1, h2)]
-            )
-            self._persist(
-                "INSERT OR IGNORE INTO members VALUES (?, ?)",
-                [(h1, self._find(h1)), (h2, self._find(h2))],
+            self._db.write(
+                ("INSERT OR IGNORE INTO edges VALUES (?, ?)", [(h1, h2)]),
+                (
+                    "INSERT OR IGNORE INTO members VALUES (?, ?)",
+                    [(h1, self._find(h1)), (h2, self._find(h2))],
+                ),
             )
             before = self.merges
             self._condense()
@@ -371,24 +259,13 @@ class OMQCatalog:
         with self._lock:
             self._parent.clear()
             self._edges.clear()
-            if self._conn is not None:
-                try:
-                    self._conn.execute("DELETE FROM members")
-                    self._conn.execute("DELETE FROM edges")
-                    self._conn.commit()
-                except sqlite3.OperationalError:
-                    self._degrade()
-                except sqlite3.Error:
-                    self._recover()
+            self._db.write(
+                ("DELETE FROM members", [()]), ("DELETE FROM edges", [()])
+            )
 
     def close(self) -> None:
         with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-                self._conn = None
+            self._db.close()
 
     def __enter__(self) -> "OMQCatalog":
         return self

@@ -85,10 +85,10 @@ class BatchEngine:
         catalog and the full decision procedure, and every NOT_CONTAINED
         verdict deposits its signature-keyed witness for future sessions.
     witness_replay:
-        Replay-mode override for the store — ``"exact"`` (hash-equal
-        rungs only), ``"structural"`` (adds signature-keyed subsumption
-        replay; the default for path-built stores), or ``"off"``.
-        ``None`` leaves a ready store instance's own mode untouched.
+        Replay-mode override for the store — ``"structural"`` (hash and
+        signature-keyed replay; the default for path-built stores) or
+        ``"off"`` (record but never replay).  ``None`` leaves a ready
+        store instance's own mode untouched.
     max_inflight / aging_interval:
         Scheduler tuning: dispatch-window width (default: worker count)
         and seconds-per-class priority aging (see

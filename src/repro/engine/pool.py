@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
+import signal
 import threading
 import time
 from collections import deque
@@ -66,6 +67,13 @@ class TaskOutcome:
 
 def _worker_main(conn) -> None:  # pragma: no cover - runs in a subprocess
     """Worker loop: receive ``(seq, task)``, run it, send the outcome back."""
+    # A forked worker inherits the parent's signal setup.  Under asyncio
+    # (``repro serve``) that includes the loop's wake-up fd, so a SIGTERM
+    # sent to retire this worker would be written into the *server's*
+    # loop and start its drain.  Detach from it and take default actions.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     try:
         while True:
             msg = conn.recv()

@@ -9,8 +9,8 @@ re-decision of that pair (and of many structurally different pairs) into
 at most two homomorphism-search evaluations instead of a full 2EXPTIME
 decision procedure.
 
-Replay ladder for a candidate pair ``(h1, h2)`` (mirrored by the
-scheduler's own ordering exact → structural → catalog → cache):
+Replay for a candidate pair ``(h1, h2)`` (the scheduler tries it ahead
+of the catalog and the cache):
 
 1. **Exact pair** — a stored witness under exactly ``(h1, h2)`` is
    returned with *zero* evaluations.  Canonical hashes are isomorphism
@@ -19,58 +19,50 @@ scheduler's own ordering exact → structural → catalog → cache):
    fact ``c̄ ∈ Q1(D)`` and ``c̄ ∉ Q2(D)`` is a semantic fact about this
    very pair — independent of the chase/rewriting budgets either session
    used.
-2. **Same LHS** (bounded scan): a witness stored for ``(h1, h2')`` already
-   proves ``c̄ ∈ Q1(D)``; only ``c̄ ∉ Q2(D)`` needs checking, and only an
-   *exact* negative evaluation counts (inexact evaluation
-   under-approximates, mirroring ``small_witness.py``).
-3. **Same RHS** (bounded scan): a witness stored for ``(h1', h2)`` already
-   proves ``c̄ ∉ Q2(D)``; only membership ``c̄ ∈ Q1(D)`` needs checking,
-   which is sound even from an inexact (under-approximating) evaluation.
-4. **Structural** (``replay_mode="structural"``, the default): witnesses
-   stored under the *same predicate-signature pair* — the set of
-   (predicate, arity) pairs each side mentions, see
-   :func:`omq_signature` — but under *different* canonical hashes.
-   Nothing about the stored pair transfers to the candidate, so **both**
-   facts are re-established fresh with the kernel hom-search:
+2. **One bounded candidate loop** over, in order: witnesses stored under
+   the same LHS hash, then the same RHS hash (at most ``scan_limit``
+   together), then up to ``scan_limit`` more stored under the same
+   *predicate-signature pair* — the set of (predicate, arity) pairs each
+   side mentions, see :func:`omq_signature`.  A stored side whose hash
+   equals the candidate's is *known*: its half of the witness fact
+   transfers as is.  Every side not known is re-established with the
+   kernel hom-search:
 
-   * ``c̄ ∈ Q1_cand(D)`` — the candidate LHS maps homomorphically into
-     the stored witness's certain answers.  Sound even from an inexact
+   * ``c̄ ∈ Q1_cand(D)`` — membership, sound even from an inexact
      evaluation (a truncated chase under-approximates the certain
-     answers, so membership in the approximation implies membership).
-   * ``c̄ ∉ Q2_cand(D)`` — the stored witness still refutes the
-     candidate RHS.  Only an *exact* negative evaluation counts.
+     answers, so membership in the approximation implies membership);
+   * ``c̄ ∉ Q2_cand(D)`` — only an *exact* negative evaluation counts.
 
-   Each check runs under ``min(job budget, replay_budget)``; a blown
-   budget makes the negative evaluation inexact, which degrades that
-   candidate to a miss — structural replay can stall, never lie.
+   A candidate with a known side runs under the job's own budgets; one
+   with no known side (a *structural* replay, counted under
+   ``engine.witness.structural.*``) under ``min(job budget,
+   replay_budget)``.  A blown budget makes the negative evaluation
+   inexact, which degrades that candidate to a miss — replay can stall,
+   never lie.
 
 A cross-pair hit is re-recorded under the candidate pair, so the second
 time around it is an exact hit.  Any failure during a candidate check —
 schema mismatch, budget blow-up, a corrupted row — degrades that
 candidate to a miss; replay never raises.
 
-Persistence mirrors the catalog's robustness contract: sqlite WAL +
-busy timeout, ``meta`` stamps (schema version + canon version — a canon
-bump makes every stored hash a dead dialect, so the file is discarded and
-rebuilt; the schema-v1 → v2 signature-column migration rides the same
-stamp, so a v1 store degrades to an empty rebuild, never to a replay
-attempt over unkeyed rows), transient errors degrade to memory-only
-operation, genuine corruption discards and rebuilds, and undecodable rows
-are skipped, never fatal.  The in-memory index follows the kernel intern
-table's generation-stamped rebuild contract (PR 7): ``repro.clear_caches()``
-and any :meth:`InternTable.clear` bump trigger a lazy :meth:`reload` from
-the serialized documents, so no deserialized object outlives an
+Persistence is the durable-store contract of :mod:`repro.engine.durable`.
+The schema-v1 → v2 signature-column migration rides its version stamp,
+so a v1 store degrades to an empty rebuild, never to a replay attempt
+over unkeyed rows; undecodable rows are skipped, never fatal.  The
+in-memory index follows the kernel intern table's generation-stamped
+rebuild contract: ``repro.clear_caches()`` and any
+:meth:`InternTable.clear` bump trigger a lazy :meth:`reload` from the
+serialized documents, so no deserialized object outlives an
 invalidation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
 import sqlite3
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from threading import RLock
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -78,7 +70,7 @@ from ..containment.result import ContainmentResult, Witness, not_contained
 from ..core.serialize import witness_from_json, witness_to_json
 from ..kernel.instance import instance_signature
 from ..kernel.intern import INTERN
-from .canon import CANON_VERSION
+from .durable import DurableStore, expected_stamps
 from .metrics import MetricsRegistry
 from .registry import register_instance_cache, unregister_cache
 
@@ -88,13 +80,9 @@ from .registry import register_instance_cache, unregister_cache
 WITNESS_SCHEMA_VERSION = "2"
 
 #: How a store answers :meth:`WitnessStore.replay`:
-#: ``exact`` — hash-equal rungs only (the PR 8 pair memo);
-#: ``structural`` — hash rungs plus signature-keyed subsumption replay;
+#: ``structural`` — the exact-pair probe, then the candidate loop;
 #: ``off`` — never replay (recording still works).
-REPLAY_MODES = ("exact", "structural", "off")
-
-#: How long a connection waits on a locked store before giving up.
-_BUSY_TIMEOUT_MS = 5_000
+REPLAY_MODES = ("structural", "off")
 
 
 def omq_signature(omq: Any) -> str:
@@ -160,16 +148,16 @@ class WitnessStore:
         Cap on stored witnesses; the oldest entry is evicted first
         (``engine.witness.evictions``).
     scan_limit:
-        How many candidates each cross-pair rung (same-LHS/same-RHS, and
-        separately the structural rung) may hom-check after the
-        exact-pair probe misses.  Bounds the inline work a submission can
-        spend before falling through to the full decision procedure.
+        How many candidates each source (same-LHS/same-RHS hashes, and
+        separately the signature index) may hand the candidate loop after
+        the exact-pair probe misses.  Bounds the inline work a submission
+        can spend before falling through to the full decision procedure.
     replay_mode:
         One of :data:`REPLAY_MODES`; ``"structural"`` by default.
     replay_budget:
-        Per-evaluation step cap for the structural rung's two fresh
-        checks (``min``-ed with the job's own budgets).  A check the
-        budget cannot settle degrades that candidate to a miss.
+        Per-evaluation step cap for a candidate with no known side
+        (``min``-ed with the job's own budgets).  A check the budget
+        cannot settle degrades that candidate to a miss.
     metrics:
         The registry the ``engine.witness.*`` counters land in; the
         :class:`~repro.engine.engine.BatchEngine` shares its own registry
@@ -206,15 +194,22 @@ class WitnessStore:
         #: (lhs_sig, rhs_sig) -> keys; rows with an empty signature on
         #: either side never enter (they cannot be structurally matched).
         self._by_signature: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
-        self.recoveries = 0
-        self.transient_errors = 0
         self.skipped_rows = 0
         self.replay_errors = 0
         self._generation = INTERN.generation
-        self._path = Path(path) if path is not None else None
-        self._conn: Optional[sqlite3.Connection] = None
-        if self._path is not None:
-            self._open()
+        self._db = DurableStore(
+            path,
+            [
+                "CREATE TABLE IF NOT EXISTS witnesses "
+                "(lhs TEXT, rhs TEXT, lhs_sig TEXT DEFAULT '', "
+                "rhs_sig TEXT DEFAULT '', origin TEXT DEFAULT 'decided', "
+                "doc TEXT, PRIMARY KEY (lhs, rhs))",
+                "CREATE INDEX IF NOT EXISTS witnesses_by_signature "
+                "ON witnesses (lhs_sig, rhs_sig)",
+            ],
+            WITNESS_SCHEMA_VERSION,
+            load=self._load,
+        )
         # clear_caches() reloads (re-deserializes) the in-memory index; it
         # never discards the durable facts.  Weakly registered, so a
         # closed-and-dropped store unregisters itself.
@@ -230,80 +225,21 @@ class WitnessStore:
 
     # -- persistence ------------------------------------------------------
 
-    def _connect(self) -> sqlite3.Connection:
-        assert self._path is not None
-        conn = sqlite3.connect(str(self._path), check_same_thread=False)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_MS)}")
-        return conn
-
-    def _create_tables(self, conn: sqlite3.Connection) -> None:
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta "
-            "(key TEXT PRIMARY KEY, value TEXT)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS witnesses "
-            "(lhs TEXT, rhs TEXT, lhs_sig TEXT DEFAULT '', "
-            "rhs_sig TEXT DEFAULT '', origin TEXT DEFAULT 'decided', "
-            "doc TEXT, PRIMARY KEY (lhs, rhs))"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS witnesses_by_signature "
-            "ON witnesses (lhs_sig, rhs_sig)"
-        )
-
-    def _expected_stamps(self) -> Dict[str, str]:
-        return {
-            "schema_version": WITNESS_SCHEMA_VERSION,
-            "canon_version": CANON_VERSION,
-        }
-
-    def _open(self) -> None:
-        """Open (or rebuild) the store file and load it; never raises."""
-        assert self._path is not None
-        try:
-            if self._path.parent != Path(""):
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-            conn = self._connect()
-            self._create_tables(conn)
-            stamps = dict(conn.execute("SELECT key, value FROM meta"))
-            if stamps and stamps != self._expected_stamps():
-                # A canon or schema bump means every stored row speaks a
-                # dead dialect: discard, don't migrate.  Replay over an
-                # empty rebuild is an honest miss — a mismatched store is
-                # never consulted, structurally or otherwise.
-                conn.close()
-                self._discard_file()
-                conn = self._connect()
-                self._create_tables(conn)
-                stamps = {}
-            if not stamps:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                    sorted(self._expected_stamps().items()),
-                )
-                conn.commit()
-            for lhs, rhs, lhs_sig, rhs_sig, origin, doc in conn.execute(
-                "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc "
-                "FROM witnesses ORDER BY rowid"
-            ):
-                record = self._decode(
-                    str(lhs),
-                    str(rhs),
-                    str(lhs_sig or ""),
-                    str(rhs_sig or ""),
-                    str(origin or "decided"),
-                    str(doc),
-                )
-                if record is not None:
-                    self._index_locked(record)
-            self._conn = conn
-        except sqlite3.OperationalError:
-            self.transient_errors += 1
-            self._conn = None
-        except (sqlite3.Error, OSError):
-            self._recover()
+    def _load(self, conn: sqlite3.Connection) -> None:
+        for lhs, rhs, lhs_sig, rhs_sig, origin, doc in conn.execute(
+            "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc "
+            "FROM witnesses ORDER BY rowid"
+        ):
+            record = self._decode(
+                str(lhs),
+                str(rhs),
+                str(lhs_sig or ""),
+                str(rhs_sig or ""),
+                str(origin or "decided"),
+                str(doc),
+            )
+            if record is not None:
+                self._index_locked(record)
 
     def _decode(
         self,
@@ -321,57 +257,6 @@ class WitnessStore:
             self.skipped_rows += 1
             return None
         return StoredWitness(lhs, rhs, lhs_sig, rhs_sig, origin, doc, witness)
-
-    def _discard_file(self) -> None:
-        assert self._path is not None
-        self.recoveries += 1
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(str(self._path) + suffix)
-            except OSError:
-                pass
-
-    def _degrade(self) -> None:
-        self.transient_errors += 1
-        if self._conn is not None:
-            try:
-                self._conn.rollback()
-            except sqlite3.Error:
-                pass
-
-    def _recover(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-        if self._path is None:
-            return
-        self._discard_file()
-        try:
-            conn = self._connect()
-            self._create_tables(conn)
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                sorted(self._expected_stamps().items()),
-            )
-            conn.commit()
-            self._conn = conn
-        except (sqlite3.Error, OSError):
-            self._conn = None  # memory-only from here on
-
-    def _persist(self, sql: str, rows: List[tuple]) -> None:
-        """Best-effort write-through of one statement over *rows*."""
-        if self._conn is None:
-            return
-        try:
-            self._conn.executemany(sql, rows)
-            self._conn.commit()
-        except sqlite3.OperationalError:
-            self._degrade()
-        except sqlite3.Error:
-            self._recover()
 
     # -- the in-memory index ----------------------------------------------
 
@@ -445,7 +330,15 @@ class WitnessStore:
 
     @property
     def persistent(self) -> bool:
-        return self._conn is not None
+        return self._db.persistent
+
+    @property
+    def recoveries(self) -> int:
+        return self._db.recoveries
+
+    @property
+    def transient_errors(self) -> int:
+        return self._db.transient_errors
 
     def __len__(self) -> int:
         with self._lock:
@@ -494,9 +387,12 @@ class WitnessStore:
                 StoredWitness(h1, h2, lhs_sig, rhs_sig, origin, doc, witness)
             )
             self._count("engine.witness.stored")
-            self._persist(
-                "INSERT OR REPLACE INTO witnesses VALUES (?, ?, ?, ?, ?, ?)",
-                [(h1, h2, lhs_sig, rhs_sig, origin, doc)],
+            self._db.write(
+                (
+                    "INSERT OR REPLACE INTO witnesses "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    [(h1, h2, lhs_sig, rhs_sig, origin, doc)],
+                )
             )
             evicted: List[tuple] = []
             while len(self._records) > self.max_entries:
@@ -505,49 +401,33 @@ class WitnessStore:
                 evicted.append(oldest)
             if evicted:
                 self._count("engine.witness.evictions", len(evicted))
-                self._persist(
-                    "DELETE FROM witnesses WHERE lhs = ? AND rhs = ?",
-                    evicted,
+                self._db.write(
+                    ("DELETE FROM witnesses WHERE lhs = ? AND rhs = ?", evicted)
                 )
             return True
 
     def _candidates_locked(
-        self, h1: str, h2: str
+        self, h1: str, h2: str, lhs_sig: str, rhs_sig: str
     ) -> List[StoredWitness]:
-        """The bounded hash-rung scan list: same-LHS first, then same-RHS."""
-        out: List[StoredWitness] = []
-        seen = set()
-        for key in self._by_lhs.get(h1, ()):
-            if len(out) >= self.scan_limit:
-                return out
-            out.append(self._records[key])
-            seen.add(key)
-        for key in self._by_rhs.get(h2, ()):
-            if len(out) >= self.scan_limit:
-                break
-            if key not in seen:
-                out.append(self._records[key])
-        return out
-
-    def _structural_candidates_locked(
-        self,
-        h1: str,
-        h2: str,
-        lhs_sig: str,
-        rhs_sig: str,
-        skip: set,
-    ) -> List[StoredWitness]:
-        """Signature-compatible candidates the hash rungs did not cover."""
-        if not lhs_sig or not rhs_sig:
-            return []
-        out: List[StoredWitness] = []
-        for key in self._by_signature.get((lhs_sig, rhs_sig), ()):
-            if len(out) >= self.scan_limit:
-                break
-            if key == (h1, h2) or key in skip:
-                continue
-            out.append(self._records[key])
-        return out
+        """The bounded scan list: same-LHS then same-RHS hashes (at most
+        ``scan_limit`` together), then at most ``scan_limit`` others
+        under the same signature pair.  The exact pair is never among
+        them: the caller has already answered it."""
+        hashed = dict.fromkeys(
+            itertools.islice(
+                itertools.chain(
+                    self._by_lhs.get(h1, ()), self._by_rhs.get(h2, ())
+                ),
+                self.scan_limit,
+            )
+        )
+        similar = (
+            key
+            for key in self._by_signature.get((lhs_sig, rhs_sig), ())
+            if key not in hashed
+        )
+        keys = [*hashed, *itertools.islice(similar, self.scan_limit)]
+        return [self._records[key] for key in keys]
 
     def replay(self, job: Any) -> Optional[ContainmentResult]:
         """Try to refute *job* (a ContainmentJob) from stored witnesses.
@@ -564,11 +444,8 @@ class WitnessStore:
         if not hasattr(job, "content_hashes"):
             return None
         h1, h2 = job.content_hashes()
-        structural = self.replay_mode == "structural"
-        lhs_sig = rhs_sig = ""
-        if structural:
-            lhs_sig = omq_signature(getattr(job, "q1", None))
-            rhs_sig = omq_signature(getattr(job, "q2", None))
+        lhs_sig = omq_signature(getattr(job, "q1", None))
+        rhs_sig = omq_signature(getattr(job, "q2", None))
         with self._lock:
             self._maybe_reload_locked()
             exact = self._records.get((h1, h2))
@@ -581,19 +458,15 @@ class WitnessStore:
                     exact.witness.answer,
                     "stored witness for this exact canonical pair",
                 )
-            candidates = self._candidates_locked(h1, h2)
-            structural_candidates = self._structural_candidates_locked(
-                h1,
-                h2,
-                lhs_sig,
-                rhs_sig,
-                {(c.lhs, c.rhs) for c in candidates},
-            )
+            candidates = self._candidates_locked(h1, h2, lhs_sig, rhs_sig)
         # Evaluations run outside the lock: a hom-check is cheap but not
         # free, and replay must never serialize concurrent submitters.
         for candidate in candidates:
+            structural = candidate.lhs != h1 and candidate.rhs != h2
             self._count("engine.witness.replays")
-            result = self._check_candidate(job, h1, h2, candidate)
+            if structural:
+                self._count("engine.witness.structural.attempts")
+            result = self._check(job, h1, h2, candidate)
             if result is not None:
                 # Re-record under the candidate pair: next time it is an
                 # exact (zero-evaluation) hit.
@@ -603,25 +476,11 @@ class WitnessStore:
                     result.witness,
                     lhs_sig=lhs_sig,
                     rhs_sig=rhs_sig,
-                    origin="hash-replay",
+                    origin="structural-replay" if structural else "hash-replay",
                 )
                 self._count("engine.witness.hits")
-                return result
-        for candidate in structural_candidates:
-            self._count("engine.witness.replays")
-            self._count("engine.witness.structural.attempts")
-            result = self._check_structural(job, candidate)
-            if result is not None:
-                self.record(
-                    h1,
-                    h2,
-                    result.witness,
-                    lhs_sig=lhs_sig,
-                    rhs_sig=rhs_sig,
-                    origin="structural-replay",
-                )
-                self._count("engine.witness.hits")
-                self._count("engine.witness.structural.hits")
+                if structural:
+                    self._count("engine.witness.structural.hits")
                 return result
         self._count("engine.witness.misses")
         return None
@@ -642,99 +501,70 @@ class WitnessStore:
             kwargs["rewriting_budget"] = budget
         return kwargs
 
-    def _check_candidate(
+    def _check(
         self, job: Any, h1: str, h2: str, candidate: StoredWitness
     ) -> Optional[ContainmentResult]:
-        """One hom-check: does *candidate*'s witness refute *job*'s pair?
+        """Does *candidate*'s witness ``(D, c̄)`` refute *job*'s pair?
 
-        The side whose canonical hash matches the stored side needs no
-        re-check (NOT_CONTAINED verdicts are exact, so the stored
-        membership/non-membership is a semantic fact about that hash);
-        only the other side is evaluated, with the candidate job's own
-        budgets.
+        A side whose canonical hash matches the stored side is known
+        (NOT_CONTAINED verdicts are exact, so the stored membership or
+        non-membership is a semantic fact about that hash) and is not
+        re-checked.  Each other side is evaluated:
+
+        1. ``c̄ ∈ Q1(D)`` — membership, sound even when the evaluation is
+           inexact;
+        2. ``c̄ ∉ Q2(D)`` — and the evaluation is *exact*; an inexact
+           (truncated) evaluation under-approximates Q2's answers, so
+           its silence proves nothing.
+
+        With a known side the job's own budgets apply; with none, both
+        checks are capped by ``replay_budget`` and a disconfirmed
+        candidate counts as ``engine.witness.structural.refuted_replays``.
+        An exception degrades the candidate to a miss (``replay_errors``).
         """
         from ..evaluation import evaluate_omq
 
+        lhs_known, rhs_known = candidate.lhs == h1, candidate.rhs == h2
+        structural = not (lhs_known or rhs_known)
         witness = candidate.witness
-        kwargs = self._job_budgets(job, None)
+        kwargs = self._job_budgets(
+            job, self.replay_budget if structural else None
+        )
         try:
-            if candidate.lhs == h1:
-                # c̄ ∈ Q1(D) is stored fact; need c̄ ∉ Q2(D), exactly.
-                evaluation = evaluate_omq(job.q2, witness.database, **kwargs)
-                if (
-                    witness.answer not in evaluation.answers
-                    and evaluation.exact
-                ):
-                    return not_contained(
-                        "witness-replay",
-                        witness.database,
-                        witness.answer,
-                        f"stored witness for lhs {h1[:12]} replayed "
-                        "against the candidate RHS",
-                    )
-            elif candidate.rhs == h2:
-                # c̄ ∉ Q2(D) is stored fact; need c̄ ∈ Q1(D) — membership
-                # is sound even from an inexact (under-approximating)
-                # evaluation.
-                evaluation = evaluate_omq(job.q1, witness.database, **kwargs)
-                if witness.answer in evaluation.answers:
-                    return not_contained(
-                        "witness-replay",
-                        witness.database,
-                        witness.answer,
-                        f"stored witness for rhs {h2[:12]} replayed "
-                        "against the candidate LHS",
-                    )
+            confirmed = lhs_known or witness.answer in (
+                evaluate_omq(job.q1, witness.database, **kwargs).answers
+            )
+            if confirmed and not rhs_known:
+                rhs = evaluate_omq(job.q2, witness.database, **kwargs)
+                confirmed = rhs.exact and witness.answer not in rhs.answers
         except Exception:
             # Anything — schema mismatch, arity mismatch, a budget
             # exception — degrades this candidate to a miss.
             self.replay_errors += 1
-        return None
-
-    def _check_structural(
-        self, job: Any, candidate: StoredWitness
-    ) -> Optional[ContainmentResult]:
-        """Subsumption replay: two fresh kernel hom-checks, both required.
-
-        Neither side of the candidate pair hash-matches the stored pair,
-        so nothing transfers — the stored (D, c̄) is just a *suggested*
-        counterexample.  It refutes the candidate iff
-
-        1. ``c̄ ∈ Q1_cand(D)`` — membership, sound even when the capped
-           evaluation is inexact;
-        2. ``c̄ ∉ Q2_cand(D)`` — and the evaluation is *exact*; an
-           inexact (truncated) evaluation under-approximates Q2's
-           answers, so its silence proves nothing.
-
-        A disconfirmed candidate counts as a refuted replay
-        (``engine.witness.structural.refuted_replays``); an exception or
-        blown ``replay_budget`` degrades to a miss via the error path.
-        """
-        from ..evaluation import evaluate_omq
-
-        witness = candidate.witness
-        kwargs = self._job_budgets(job, self.replay_budget)
-        try:
-            lhs_eval = evaluate_omq(job.q1, witness.database, **kwargs)
-            if witness.answer in lhs_eval.answers:
-                rhs_eval = evaluate_omq(job.q2, witness.database, **kwargs)
-                if (
-                    witness.answer not in rhs_eval.answers
-                    and rhs_eval.exact
-                ):
-                    return not_contained(
-                        "witness-replay",
-                        witness.database,
-                        witness.answer,
-                        "structural replay: signature-compatible witness "
-                        f"for {candidate.lhs[:12]} ⊄ {candidate.rhs[:12]} "
-                        "re-confirmed against both candidate sides",
-                    )
-        except Exception:
-            self.replay_errors += 1
             return None
-        self._count("engine.witness.structural.refuted_replays")
-        return None
+        if not confirmed:
+            if structural:
+                self._count("engine.witness.structural.refuted_replays")
+            return None
+        if lhs_known:
+            detail = (
+                f"stored witness for lhs {h1[:12]} replayed "
+                "against the candidate RHS"
+            )
+        elif rhs_known:
+            detail = (
+                f"stored witness for rhs {h2[:12]} replayed "
+                "against the candidate LHS"
+            )
+        else:
+            detail = (
+                "structural replay: signature-compatible witness "
+                f"for {candidate.lhs[:12]} ⊄ {candidate.rhs[:12]} "
+                "re-confirmed against both candidate sides"
+            )
+        return not_contained(
+            "witness-replay", witness.database, witness.answer, detail
+        )
 
     @staticmethod
     def _entry_dict(record: StoredWitness) -> Dict[str, Any]:
@@ -804,10 +634,7 @@ class WitnessStore:
         except ValueError:
             conn.close()
             raise
-        expected = {
-            "schema_version": WITNESS_SCHEMA_VERSION,
-            "canon_version": CANON_VERSION,
-        }
+        expected = expected_stamps(WITNESS_SCHEMA_VERSION)
         stats = {
             "entries": int(entries),
             "lhs_keys": int(lhs_keys),
@@ -888,24 +715,12 @@ class WitnessStore:
             self._by_lhs = {}
             self._by_rhs = {}
             self._by_signature = {}
-            if self._conn is not None:
-                try:
-                    self._conn.execute("DELETE FROM witnesses")
-                    self._conn.commit()
-                except sqlite3.OperationalError:
-                    self._degrade()
-                except sqlite3.Error:
-                    self._recover()
+            self._db.write(("DELETE FROM witnesses", [()]))
 
     def close(self) -> None:
         with self._lock:
             unregister_cache(self._registry_key)
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-                self._conn = None
+            self._db.close()
 
     def __enter__(self) -> "WitnessStore":
         return self

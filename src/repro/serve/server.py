@@ -56,7 +56,7 @@ class ServeConfig:
     cache_backend: str = "sqlite"
     catalog: Optional[str] = None
     witness_store: Optional[str] = None
-    #: Witness replay mode for the store: "exact", "structural", or "off".
+    #: Witness replay mode for the store: "structural" or "off".
     witness_replay: str = "structural"
     tenants_file: Optional[str] = None
     deadline_floor_s: float = 0.25

@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import OMQ, Schema, parse_cq, parse_tgds
 from repro.engine import cache as cache_module
+from repro.engine import durable
 from repro.engine.cache import (
     _DB_NAME,
     BACKENDS,
@@ -141,7 +142,7 @@ class TestSqliteRegressions:
     def test_disk_layer_opens_in_wal_mode(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         mode = (
-            cache._backend._conn.execute("PRAGMA journal_mode").fetchone()[0]
+            cache._backend._db.conn.execute("PRAGMA journal_mode").fetchone()[0]
         )
         assert mode == "wal"
         cache.close()
@@ -184,7 +185,7 @@ class TestSqliteRegressions:
         # from under every other process using it.  Now it only costs the
         # one store: recoveries stays 0, the file stays put, and the
         # cache recovers as soon as the lock clears.
-        monkeypatch.setattr(cache_module, "_BUSY_TIMEOUT_MS", 50)
+        monkeypatch.setattr(durable, "_BUSY_TIMEOUT_MS", 50)
         cache = ResultCache(str(tmp_path))
         cache.put("before", "v")
 

@@ -11,6 +11,7 @@ Three layers of coverage mirroring the module layering:
 """
 
 import asyncio
+import contextlib
 import json
 import os
 import re
@@ -498,34 +499,50 @@ class TestLiveServer:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _serve_subprocess(*flags):
+    """A real ``python -m repro serve`` child; yields ``(proc, port)``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        # Its own process group, so cleanup also reaches forked pool
+        # workers a killed server would otherwise leave behind.
+        start_new_session=True,
+    )
+    try:
+        port = None
+        deadline = time.monotonic() + 30
+        for line in proc.stderr:
+            if "listening on" in line:
+                port = int(
+                    line.rsplit("listening on", 1)[1]
+                    .split("(")[0].strip().rsplit(":", 1)[1]
+                )
+                break
+            if time.monotonic() > deadline:
+                break
+        assert port, "server never reported its port"
+        yield proc, port
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(10)
+        proc.stderr.close()
+
+
 class TestSigtermDrain:
     def test_sigterm_drains_and_exits(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--allow-test-jobs",
-                "--drain-grace", "5",
-            ],
-            env=env,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            port = None
-            deadline = time.monotonic() + 30
-            for line in proc.stderr:
-                if "listening on" in line:
-                    port = int(
-                        line.rsplit("listening on", 1)[1]
-                        .split("(")[0].strip().rsplit(":", 1)[1]
-                    )
-                    break
-                if time.monotonic() > deadline:
-                    break
-            assert port, "server never reported its port"
+        with _serve_subprocess("--allow-test-jobs", "--drain-grace", "5") as (
+            proc,
+            port,
+        ):
             with ServeClient(port=port, timeout=10) as client:
                 assert client.health()["status"] == "ok"
                 record = client.submit(
@@ -537,11 +554,34 @@ class TestSigtermDrain:
                 assert record["id"]
             proc.wait(timeout=30)
             assert proc.returncode == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(10)
-            proc.stderr.close()
+
+    def test_task_timeout_does_not_stop_the_server(self):
+        """Regression: the pool retires a timed-out worker with SIGTERM.
+        A forked worker used to keep the asyncio loop's signal wake-up
+        fd, so that SIGTERM reached the server's loop and drained it."""
+        with _serve_subprocess(
+            "--workers", "2", "--timeout", "0.5", "--allow-test-jobs",
+            "--drain-grace", "5",
+        ) as (proc, port):
+            with ServeClient(port=port, timeout=30) as client:
+                slow = client.run(
+                    {"kind": "sleep", "seconds": 3, "tenant": "t"},
+                    timeout=30,
+                )
+                assert "timed out" in (slow.get("error") or ""), slow
+                # Give a wrongly started drain time to show itself.
+                time.sleep(0.5)
+                assert proc.poll() is None
+                assert client.health()["status"] == "ok"
+                done = client.run(
+                    containment_doc(OMQ_A, OMQ_B, tenant="t"), timeout=30
+                )
+                assert done["result"]["verdict"] in (
+                    "contained", "not-contained"
+                ), done
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ index ships inside:
 * regression pins extending PR 8's: UNKNOWNs never enter the signature
   index, and a schema-version-mismatched store degrades to miss without
   attempting a structural replay;
-* the CLI/engine knobs: ``--witness-replay {exact,structural,off}`` and
+* the CLI/engine knobs: ``--witness-replay {structural,off}`` and
   the streaming ``repro witnesses --limit`` listing.
 """
 
@@ -198,16 +198,6 @@ class TestStructuralReplay:
         assert snap.get("engine.witness.structural.hits", 0) == 0
         store.close()
 
-    def test_exact_mode_never_replays_structurally(self):
-        store, metrics = self._primed_store(replay_mode="exact")
-        job = ContainmentJob(_path_omq(P_SHORT), _path_omq(P_LONG))
-        assert store.replay(job) is None
-        assert (
-            metrics.snapshot().get("engine.witness.structural.attempts", 0)
-            == 0
-        )
-        store.close()
-
     def test_off_mode_never_replays_at_all(self):
         store, _ = self._primed_store(replay_mode="off")
         short, long = _path_omq(SHORT), _path_omq(LONG)
@@ -219,7 +209,9 @@ class TestStructuralReplay:
             WitnessStore(replay_mode="sometimes")
         with pytest.raises(ValueError):
             BatchEngine(witness_replay="sometimes")
-        assert set(REPLAY_MODES) == {"exact", "structural", "off"}
+        with pytest.raises(ValueError):
+            WitnessStore(replay_mode="exact")
+        assert set(REPLAY_MODES) == {"structural", "off"}
 
     def test_blown_replay_budget_degrades_to_miss(self):
         """A replay_budget the chase cannot finish under makes the RHS
@@ -247,6 +239,40 @@ class TestStructuralReplay:
         snap = metrics.snapshot()
         assert snap["engine.witness.structural.attempts"] >= 1
         assert snap.get("engine.witness.structural.hits", 0) == 0
+        store.close()
+
+    @pytest.mark.parametrize("known_lhs", [True, False])
+    def test_inexact_negative_never_refutes(self, known_lhs):
+        """A planted (lying) witness whose RHS check the budget cannot
+        finish must read as a miss, whether the candidate has a known
+        LHS (job budgets) or no known side (``replay_budget``)."""
+        omq_text = (
+            "schema: E/2\nrules:\n    E(x, y) -> P(x, y)\n"
+            "query: q() :- {body}\n"
+        )
+        q1 = parse_omq(omq_text.format(body="E(x, y)"))
+        q2 = parse_omq(omq_text.format(body="P(x, y), P(y, z)"))
+        # q2 really holds on D (after one chase round), so D refutes
+        # nothing; only an inexact evaluation could read it as a refutation.
+        d = Instance.of(
+            [
+                Atom("E", (Constant("a"), Constant("b"))),
+                Atom("E", (Constant("b"), Constant("c"))),
+            ]
+        )
+        metrics = MetricsRegistry()
+        store = WitnessStore(metrics=metrics, replay_budget=1)
+        lhs = hash_omq(q1) if known_lhs else "planted-lhs"
+        store.record(lhs, "planted-rhs", Witness(d, ()), q1=q1, q2=q2)
+        job = ContainmentJob(
+            q1, q2, chase_max_steps=1, rewriting_budget=1
+        )
+        assert store.replay(job) is None
+        snap = metrics.snapshot()
+        assert snap["engine.witness.replays"] == 1
+        assert snap.get("engine.witness.structural.attempts", 0) == (
+            0 if known_lhs else 1
+        )
         store.close()
 
     def test_engine_replays_structurally_end_to_end(self, tmp_path):
@@ -605,11 +631,6 @@ class TestCLI:
             ("long", LONG),
             ("pshort", P_SHORT),
             ("plong", P_LONG),
-            # A second, distinct perturbation: the exact-mode run below
-            # records (pshort, plong), so the structural probe needs a
-            # pair hash-equal to nothing already in the store.
-            ("pshort2", SHORT + ", E(s, t), E(g, h)"),
-            ("plong2", LONG + ", E(s, t), E(g, h)"),
         ):
             f = tmp_path / f"{name}.omq"
             f.write_text(f"schema: E/2\nquery: q() :- {body}\n")
@@ -620,14 +641,8 @@ class TestCLI:
         capsys.readouterr()
         perturbed = ["contains", files["pshort"], files["plong"],
                      "--witness-store", store, "--json"]
-        # exact mode: non-hash-equal pair must run the full procedure.
-        assert main(perturbed + ["--witness-replay", "exact"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] != "witness-replay"
         # structural (default): replayed from the signature index.
-        perturbed2 = ["contains", files["pshort2"], files["plong2"],
-                      "--witness-store", store, "--json"]
-        assert main(perturbed2) == 1
+        assert main(perturbed) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "witness-replay"
         assert "structural" in doc["detail"]
@@ -635,15 +650,19 @@ class TestCLI:
         assert main(base + ["--witness-replay", "off"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] != "witness-replay"
+        # The removed hash-rungs-only mode is an argparse error.
+        with pytest.raises(SystemExit):
+            main(perturbed + ["--witness-replay", "exact"])
+        capsys.readouterr()
 
     def test_serve_config_witness_replay_passthrough(self, tmp_path):
         from repro.serve.server import ServeConfig
 
         path = self._populate(tmp_path, self._distinct_pairs(1))
-        config = ServeConfig(witness_store=path, witness_replay="exact")
+        config = ServeConfig(witness_store=path, witness_replay="off")
         engine = config.build_engine()
         try:
-            assert engine.witness_store.replay_mode == "exact"
+            assert engine.witness_store.replay_mode == "off"
         finally:
             engine.close()
         config = ServeConfig(witness_store=path)
