@@ -55,7 +55,6 @@ from ..kernel import (
     WorkingInstance,
     compiled_search,
     delta_triggers,
-    flush_cardinality,
 )
 from .. import obs
 
@@ -209,9 +208,6 @@ def _chase_delta(
         def make_result(terminated: bool) -> ChaseResult:
             run_span.set("steps", steps)
             run_span.set("terminated", terminated)
-            # One counter bump per predicate per run: /metrics shows the
-            # cardinality regime the join planner saw.
-            flush_cardinality(work.cardinality_stats())
             return ChaseResult(work.snapshot(), steps, terminated, levels, log)
 
         old_mark = 0

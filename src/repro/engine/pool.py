@@ -65,8 +65,17 @@ class TaskOutcome:
         return self.failure is None
 
 
-def _worker_main(conn) -> None:  # pragma: no cover - runs in a subprocess
-    """Worker loop: receive ``(seq, task)``, run it, send the outcome back."""
+def _worker_main(conn, inherited=()) -> None:  # pragma: no cover - subprocess
+    """Worker loop: receive ``(seq, task)``, run it, send the outcome back.
+
+    *inherited* holds the coordinator-side pipe ends a forked worker got
+    copies of (its own and its older siblings').  They are closed first:
+    a pipe reports EOF only once every copy of the far end is closed, so
+    a worker holding them would never notice its coordinator dying and
+    would outlive it as an orphan.
+    """
+    for end in inherited:
+        end.close()
     # A forked worker inherits the parent's signal setup.  Under asyncio
     # (``repro serve``) that includes the loop's wake-up fd, so a SIGTERM
     # sent to retire this worker would be written into the *server's*
@@ -379,10 +388,17 @@ class WorkerPool:
 
     # -- parallel coordinator (workers > 1) --------------------------------
 
-    def _spawn(self) -> _Worker:
+    def _spawn(self, siblings: Sequence[_Worker]) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # Only a forked child inherits the coordinator's pipe ends; under
+        # spawn/forkserver, passing them would hand the child new copies.
+        inherited = (
+            tuple(w.conn for w in siblings) + (parent_conn,)
+            if self._ctx.get_start_method() == "fork"
+            else ()
+        )
         proc = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, inherited), daemon=True
         )
         proc.start()
         child_conn.close()
@@ -444,7 +460,7 @@ class WorkerPool:
                             break
                         ticket = self._pending.popleft()
                     if idle is None:
-                        idle = self._spawn()
+                        idle = self._spawn(workers)
                         workers.append(idle)
                     try:
                         idle.conn.send((ticket.seq, ticket.task))

@@ -64,7 +64,7 @@ import sqlite3
 from collections import OrderedDict
 from dataclasses import dataclass
 from threading import RLock
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..containment.result import ContainmentResult, Witness, not_contained
 from ..core.serialize import witness_from_json, witness_to_json
@@ -132,6 +132,33 @@ class StoredWitness:
     origin: str
     doc: str
     witness: Witness
+
+
+_ROWS_SQL = (
+    "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc FROM witnesses ORDER BY rowid"
+)
+_V1_ROWS_SQL = (
+    "SELECT lhs, rhs, '', '', 'decided', doc FROM witnesses ORDER BY rowid"
+)
+
+
+def _decode_row(row: Sequence[Any]) -> Optional[StoredWitness]:
+    """One ``(lhs, rhs, lhs_sig, rhs_sig, origin, doc)`` row as a record;
+    ``None`` when the document does not parse."""
+    lhs, rhs, lhs_sig, rhs_sig, origin, doc = row
+    try:
+        witness = witness_from_json(json.loads(str(doc)))
+    except Exception:
+        return None
+    return StoredWitness(
+        str(lhs),
+        str(rhs),
+        str(lhs_sig or ""),
+        str(rhs_sig or ""),
+        str(origin or "decided"),
+        str(doc),
+        witness,
+    )
 
 
 class WitnessStore:
@@ -226,37 +253,15 @@ class WitnessStore:
     # -- persistence ------------------------------------------------------
 
     def _load(self, conn: sqlite3.Connection) -> None:
-        for lhs, rhs, lhs_sig, rhs_sig, origin, doc in conn.execute(
-            "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc "
-            "FROM witnesses ORDER BY rowid"
-        ):
-            record = self._decode(
-                str(lhs),
-                str(rhs),
-                str(lhs_sig or ""),
-                str(rhs_sig or ""),
-                str(origin or "decided"),
-                str(doc),
-            )
-            if record is not None:
-                self._index_locked(record)
+        for row in conn.execute(_ROWS_SQL):
+            self._admit_locked(_decode_row(row))
 
-    def _decode(
-        self,
-        lhs: str,
-        rhs: str,
-        lhs_sig: str,
-        rhs_sig: str,
-        origin: str,
-        doc: str,
-    ) -> Optional[StoredWitness]:
-        """Parse one stored row; a bad row is skipped, never fatal."""
-        try:
-            witness = witness_from_json(json.loads(doc))
-        except Exception:
+    def _admit_locked(self, record: Optional[StoredWitness]) -> None:
+        """Index a decoded row; a row that did not decode is counted."""
+        if record is None:
             self.skipped_rows += 1
-            return None
-        return StoredWitness(lhs, rhs, lhs_sig, rhs_sig, origin, doc, witness)
+        else:
+            self._index_locked(record)
 
     # -- the in-memory index ----------------------------------------------
 
@@ -314,7 +319,7 @@ class WitnessStore:
         self._by_rhs = {}
         self._by_signature = {}
         for stale in old:
-            record = self._decode(
+            row = (
                 stale.lhs,
                 stale.rhs,
                 stale.lhs_sig,
@@ -322,8 +327,7 @@ class WitnessStore:
                 stale.origin,
                 stale.doc,
             )
-            if record is not None:
-                self._index_locked(record)
+            self._admit_locked(_decode_row(row))
         self._generation = INTERN.generation
 
     # -- public API -------------------------------------------------------
@@ -647,38 +651,21 @@ class WitnessStore:
         def _rows() -> Iterator[Dict[str, Any]]:
             try:
                 try:
-                    cursor = conn.execute(
-                        "SELECT lhs, rhs, lhs_sig, rhs_sig, origin, doc "
-                        "FROM witnesses ORDER BY rowid"
-                    )
+                    cursor = conn.execute(_ROWS_SQL)
                 except sqlite3.Error:
                     # A schema-v1 file has no signature columns; it still
                     # deserves a listing (replay would discard it, but
                     # inspection must not).
-                    cursor = conn.execute(
-                        "SELECT lhs, rhs, '', '', 'decided', doc "
-                        "FROM witnesses ORDER BY rowid"
-                    )
+                    cursor = conn.execute(_V1_ROWS_SQL)
                 yielded = 0
-                for lhs, rhs, lhs_sig, rhs_sig, origin, doc in cursor:
+                for row in cursor:
                     if limit is not None and yielded >= limit:
                         break
-                    try:
-                        witness = witness_from_json(json.loads(str(doc)))
-                    except Exception:
+                    record = _decode_row(row)
+                    if record is None:
                         continue  # a bad row is skipped, never fatal
                     yielded += 1
-                    yield cls._entry_dict(
-                        StoredWitness(
-                            str(lhs),
-                            str(rhs),
-                            str(lhs_sig or ""),
-                            str(rhs_sig or ""),
-                            str(origin or "decided"),
-                            str(doc),
-                            witness,
-                        )
-                    )
+                    yield cls._entry_dict(record)
             finally:
                 conn.close()
 

@@ -8,19 +8,18 @@ search, built once and shared:
 * :mod:`repro.kernel.intern` — the process-wide symbol table mapping
   predicates and terms to dense integer ids (:data:`INTERN`);
 * :mod:`repro.kernel.instance` — :class:`WorkingInstance` (mutable,
-  append-only, incrementally indexed over int-tuple facts, with live
-  per-(predicate, position) cardinality statistics) and the
+  append-only, incrementally indexed over int-tuple facts) and the
   frozen-instance adapter;
-* :mod:`repro.kernel.plan` — the cost-based join-order planner and its
-  bounded plan cache (:func:`use_planner` switches cost/greedy modes);
 * :mod:`repro.kernel.search` — the compiled, index-driven backtracking
-  :class:`HomSearch` plus the memoizing :func:`compiled_search` factory;
+  :class:`HomSearch` with its one memoized join order (fewest unbound
+  slots first, ties by atom string) plus the memoizing
+  :func:`compiled_search` factory;
 * :mod:`repro.kernel.delta` — semi-naive (delta-driven) trigger discovery
   for the chase;
 * :mod:`repro.kernel.metrics` — process-wide instrumentation counters.
 
-``core/homomorphism.py`` remains the stable public API as a thin shim over
-this package.
+``core/homomorphism.py`` re-exports the search entry points as the
+stable public API.
 """
 
 from .delta import delta_triggers
@@ -31,16 +30,7 @@ from .instance import (
     view_of,
 )
 from .intern import INTERN, InternTable
-from .metrics import KERNEL_METRICS, flush_cardinality, kernel_snapshot
-from .plan import (
-    COST,
-    GREEDY,
-    PLANS,
-    default_planner,
-    plan_cache_stats,
-    set_default_planner,
-    use_planner,
-)
+from .metrics import KERNEL_METRICS, kernel_snapshot
 from .search import (
     HomSearch,
     atom_str,
@@ -68,12 +58,4 @@ __all__ = [
     "delta_triggers",
     "KERNEL_METRICS",
     "kernel_snapshot",
-    "flush_cardinality",
-    "COST",
-    "GREEDY",
-    "PLANS",
-    "default_planner",
-    "set_default_planner",
-    "use_planner",
-    "plan_cache_stats",
 ]

@@ -10,17 +10,15 @@ Two views back every homomorphism search, both storing facts as
   possible: "the atoms added since watermark ``m``" is the contiguous
   suffix ``seq >= m``, and every index list is seq-sorted, so restricting a
   search to a watermark (or to a delta window) is a binary search, not a
-  filter.  Alongside the indexes it maintains the per-(predicate, position)
-  cardinality statistics (fact counts and distinct-value counts) that feed
-  the cost-based join planner in :mod:`repro.kernel.plan`.
+  filter.
 * frozen :class:`~repro.core.instance.Instance` — adapted through
   :class:`_FrozenView`, which interns the instance's memoized sorted
   indexes once and is itself memoized on the instance, so repeated
   searches against the same frozen target share one interned view.
 
 Both expose the small duck-typed interface the search consumes:
-``pred_candidates`` / ``pos_candidates`` (windows of int-tuple facts) plus
-``pred_count`` / ``distinct_count`` (the planner's statistics).  Candidate
+``pred_candidates`` / ``pos_candidates`` (windows of int-tuple facts) and
+``signature``.  Candidate
 order is seq order for a :class:`WorkingInstance` and the instance's
 deterministic sorted order for a frozen view — interning never changes
 which facts are enumerated or in what order, only how they are stored.
@@ -89,7 +87,7 @@ class WorkingInstance:
     """A mutable, append-only set of ground atoms with live interned indexes.
 
     Supports exactly what the kernel's consumers need: O(1) amortized
-    :meth:`add` with incremental index and statistics maintenance,
+    :meth:`add` with incremental index maintenance,
     watermark/delta windows for semi-naive evaluation, and cheap
     conversion to/from the frozen :class:`Instance`.
     """
@@ -100,7 +98,6 @@ class WorkingInstance:
         "_facts",
         "_by_predicate",
         "_by_position",
-        "_distinct",
         "_snapshot",
         "_snapshot_len",
         "_generation",
@@ -112,7 +109,6 @@ class WorkingInstance:
         self._facts: List[Tuple[int, ...]] = []
         self._by_predicate: Dict[int, _IndexList] = {}
         self._by_position: Dict[Tuple[int, int, int], _IndexList] = {}
-        self._distinct: Dict[Tuple[int, int], int] = {}
         self._snapshot: Optional[Instance] = None
         self._snapshot_len = -1
         self._generation = INTERN.generation
@@ -157,8 +153,6 @@ class WorkingInstance:
             pos_list = self._by_position.get(key)
             if pos_list is None:
                 pos_list = self._by_position[key] = _IndexList()
-                stat_key = (pid, pos)
-                self._distinct[stat_key] = self._distinct.get(stat_key, 0) + 1
             pos_list.append(seq, fact)
         self._snapshot = None
 
@@ -172,7 +166,6 @@ class WorkingInstance:
         self._facts = []
         self._by_predicate = {}
         self._by_position = {}
-        self._distinct = {}
         self._generation = INTERN.generation
         for a in atoms:
             if a not in self._seq_of:
@@ -208,16 +201,7 @@ class WorkingInstance:
             return None
         return entry.window(lo, hi)
 
-    # -- planner statistics ----------------------------------------------
-
-    def pred_count(self, pid: int) -> int:
-        """How many facts the instance holds over predicate id *pid*."""
-        entry = self._by_predicate.get(pid)
-        return len(entry.seqs) if entry is not None else 0
-
-    def distinct_count(self, pid: int, position: int) -> int:
-        """Distinct term count at (predicate id, position) — live stats."""
-        return self._distinct.get((pid, position), 0)
+    # -- signature -------------------------------------------------------
 
     def signature(self) -> FrozenSet[Tuple[str, int]]:
         """The set of (predicate, arity) pairs present in the instance.
@@ -235,25 +219,6 @@ class WorkingInstance:
             for pid, entry in self._by_predicate.items()
             if entry.facts
         )
-
-    def cardinality_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-predicate-name cardinality statistics (count + distincts).
-
-        For metrics surfacing and debugging; the planner reads the
-        id-keyed accessors above directly.
-        """
-        self._ensure_current()
-        out: Dict[str, Dict[str, object]] = {}
-        for pid, entry in self._by_predicate.items():
-            name = INTERN.pred(pid)
-            arity = len(entry.facts[0]) if entry.facts else 0
-            out[name] = {
-                "count": len(entry.seqs),
-                "distinct": [
-                    self.distinct_count(pid, pos) for pos in range(arity)
-                ],
-            }
-        return out
 
     # -- watermarks & snapshots ------------------------------------------
 
@@ -306,7 +271,6 @@ class _FrozenView:
     __slots__ = (
         "_by_predicate",
         "_by_position",
-        "_distinct",
         "generation",
     )
 
@@ -314,9 +278,7 @@ class _FrozenView:
         self.generation = INTERN.generation
         self._by_predicate: Dict[int, List[Tuple[int, ...]]] = {}
         self._by_position: Dict[Tuple[int, int, int], List[Tuple[int, ...]]] = {}
-        self._distinct: Dict[Tuple[int, int], int] = {}
         by_position = self._by_position
-        distinct = self._distinct
         for predicate, atoms in instance.by_predicate().items():
             pid = INTERN.pred_id(predicate)
             facts = [INTERN.term_ids(a.args) for a in atoms]
@@ -327,8 +289,6 @@ class _FrozenView:
                     bucket = by_position.get(key)
                     if bucket is None:
                         by_position[key] = [fact]
-                        stat_key = (pid, pos)
-                        distinct[stat_key] = distinct.get(stat_key, 0) + 1
                     else:
                         bucket.append(fact)
 
@@ -360,13 +320,6 @@ class _FrozenView:
         if facts is None:
             return None
         return (facts, 0, len(facts))
-
-    def pred_count(self, pid: int) -> int:
-        facts = self._by_predicate.get(pid)
-        return len(facts) if facts is not None else 0
-
-    def distinct_count(self, pid: int, position: int) -> int:
-        return self._distinct.get((pid, position), 0)
 
     def signature(self) -> FrozenSet[Tuple[str, int]]:
         """The set of (predicate, arity) pairs present (see

@@ -26,7 +26,7 @@ can never make stale ids alias fresh ones.
 
 Ids are *never* used for ordering anything user-visible: deterministic
 enumeration order always comes from seq order / the frozen instance's
-sorted order, and planner tie-breaks use atom string keys.  Interning
+sorted order, and join-order tie-breaks use atom string keys.  Interning
 order (and therefore the ids themselves) may differ between processes
 without affecting any result.
 """

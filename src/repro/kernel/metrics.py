@@ -14,13 +14,12 @@ Counter names:
 * ``kernel.hom.matches``     — candidates that extended the assignment;
 * ``kernel.hom.backtracks``  — search-tree retreats (a candidate list was
   exhausted without completing the embedding);
-* ``kernel.plan.hits`` / ``kernel.plan.misses`` / ``kernel.plan.evictions``
-  — the cost-based join-plan cache (:mod:`repro.kernel.plan`);
+* ``kernel.plan.hits`` / ``kernel.plan.misses`` — searches whose join
+  order came from / was added to the per-body order memo in
+  :mod:`repro.kernel.search`;
 * ``kernel.chase.rounds``    — delta-chase rounds;
 * ``kernel.chase.delta_triggers`` — triggers discovered via the delta
   (semi-naive) path rather than full re-enumeration;
-* ``kernel.cardinality.<predicate>`` — facts materialized per predicate by
-  completed delta chases (flushed once per run, capped name space);
 * ``kernel.witness_search.databases`` — candidate databases scanned by the
   guarded bounded-witness layer.
 
@@ -35,7 +34,7 @@ the registry's lock is not on the per-candidate path.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 from ..engine.metrics import MetricsRegistry
 from ..engine.registry import register_cache
@@ -47,12 +46,6 @@ KERNEL_METRICS = MetricsRegistry()
 
 register_cache("kernel.metrics", KERNEL_METRICS.reset)
 
-#: Bound on distinct ``kernel.cardinality.<predicate>`` counter names; the
-#: overflow bucket keeps adversarial schemas from growing the registry
-#: without bound.
-_CARDINALITY_NAME_CAP = 256
-_cardinality_names: set = set()
-
 
 def kernel_snapshot() -> Dict[str, object]:
     """A plain-dict snapshot of every kernel counter/timer plus cache sizes.
@@ -63,13 +56,11 @@ def kernel_snapshot() -> Dict[str, object]:
     """
     out: Dict[str, object] = dict(KERNEL_METRICS.snapshot())
     from .intern import INTERN
-    from .plan import PLANS
     from .search import atom_str, compiled_search
 
     sizes = {
         "kernel.cache.atom_str.size": atom_str.cache_info().currsize,
         "kernel.cache.compiled_search.size": compiled_search.cache_info().currsize,
-        "kernel.plan.cache.size": len(PLANS),
     }
     for name, value in INTERN.sizes().items():
         sizes[f"kernel.intern.{name}"] = value
@@ -118,24 +109,3 @@ def flush_search_counts(
             )
             if count
         )
-
-
-def flush_cardinality(stats: Mapping[str, Mapping[str, object]]) -> None:
-    """Fold a working instance's per-predicate fact counts into the registry.
-
-    Called once per completed delta chase (cheap: one counter per
-    predicate), so ``/metrics`` exposes the cardinality regime the planner
-    saw — ``kernel.cardinality.<predicate>`` accumulates facts materialized
-    per predicate across runs.  Names beyond the cap fold into
-    ``kernel.cardinality.other``.
-    """
-    for predicate, stat in stats.items():
-        if (
-            predicate in _cardinality_names
-            or len(_cardinality_names) < _CARDINALITY_NAME_CAP
-        ):
-            _cardinality_names.add(predicate)
-            name = f"kernel.cardinality.{predicate}"
-        else:
-            name = "kernel.cardinality.other"
-        KERNEL_METRICS.counter(name).inc(int(stat["count"]))

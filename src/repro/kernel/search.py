@@ -1,4 +1,4 @@
-"""The interned, planned backtracking homomorphism search.
+"""The interned backtracking homomorphism search.
 
 This is the paper's single semantic primitive (CQ evaluation, Chandra–
 Merlin containment, chase applicability, the small-witness test) compiled
@@ -14,14 +14,15 @@ into one engine.  Compared with the pre-kernel search in
   match loop then compares machine ints against the target's int-tuple
   facts, and the partial assignment is a flat slot array with an undo
   trail instead of per-candidate dict copies;
-* **cost-based join orders** — the per-call atom order comes from the
-  planner (:mod:`repro.kernel.plan`): estimated candidate counts from the
-  target's live cardinality statistics, cached per (body, bound set,
-  stats fingerprint), with the seed's greedy ordering kept behind
-  ``planner="greedy"`` as the baseline.  Enumeration order follows the
-  plan (see the contract pinned in :mod:`repro.kernel.plan`); within an
-  atom, candidates are always visited in the target's deterministic index
-  order;
+* **syntax join order** — the per-call atom order is fewest unbound
+  slots first, ties broken by atom string.  It is a pure function of the
+  body and the set of slots bound on entry, so it is memoized on the
+  compiled search per bound set (``kernel.plan.hits`` / ``misses`` count
+  that memo).  Enumeration order follows it; within an atom, candidates
+  are always visited in the target's deterministic index order.  No
+  cardinality statistics are consulted: on the query-sized targets the
+  decision procedures search, a statistics pass costs more than the join
+  it would reorder;
 * **positional candidate selection** — when a source atom has a bound
   position (a constant, or a slot the partial assignment already binds),
   candidates come from the target's (predicate, position, term) index
@@ -31,7 +32,7 @@ into one engine.  Compared with the pre-kernel search in
   :class:`~repro.kernel.instance.WorkingInstance`, the primitive under
   semi-naive (delta) trigger discovery;
 * **instrumentation** — candidates scanned / matches / backtracks and
-  plan-cache hits/misses are accumulated locally and flushed to
+  order-memo hits/misses are accumulated locally and flushed to
   :data:`~repro.kernel.metrics.KERNEL_METRICS` once per search (also when
   a caller abandons the generator early).
 """
@@ -39,12 +40,10 @@ into one engine.  Compared with the pre-kernel search in
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count as _counter
 from time import perf_counter
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -59,14 +58,12 @@ from .. import obs
 from .instance import view_of
 from .intern import INTERN
 from .metrics import flush_search_counts
-from . import plan as _plan
 
 #: A per-source-atom sequence window; ``None`` means unconstrained.
 Ranges = Optional[Sequence[Tuple[int, Optional[int]]]]
 
-#: Monotonic source of plan-cache keys: every (re)compile gets a fresh
-#: one, so plans for a stale compilation are simply never hit again.
-_PLAN_KEYS = _counter()
+#: The only join orders of bodies with zero or one atom.
+_TRIVIAL_ORDERS = ((), (0,))
 
 
 def is_mappable(term: Term) -> bool:
@@ -93,7 +90,6 @@ class HomSearch:
         "codes",
         "slot_terms",
         "slot_of",
-        "plan_key",
     )
 
     def __init__(self, source: Sequence[Atom]) -> None:
@@ -128,7 +124,6 @@ class HomSearch:
         self.slot_of = slot_of
         self.slot_terms: Tuple[Term, ...] = tuple(slot_of)
         self._orders: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-        self.plan_key = next(_PLAN_KEYS)
         self._gen = INTERN.generation
 
     def ensure_compiled(self) -> None:
@@ -138,20 +133,37 @@ class HomSearch:
 
     # -- join ordering ----------------------------------------------------
 
-    def order(self, bound: Iterable[Term]) -> Tuple[int, ...]:
-        """The seed greedy join order (indexes into ``source``).
+    def _order(self, bound: FrozenSet[int]) -> Tuple[Tuple[int, ...], bool]:
+        """The join order for slots *bound* on entry: ``(order, memo_hit)``.
 
-        Kept as the stats-free baseline: repeatedly pick the atom with the
-        fewest unbound mappable terms, ties broken by the atom's string
-        form; memoized per bound set since the order is a pure function of
-        it.  The cost-based planner supersedes this on the search path.
+        Repeatedly pick the atom with the fewest unbound slots, ties
+        broken by the atom's string form.  Memoized per bound set; bodies
+        with at most one atom have exactly one order and count as hits.
         """
-        self.ensure_compiled()
-        key = frozenset(
-            s for t, s in self.slot_of.items() if t in set(bound)
-        )
-        order, _ = _plan.order_for(self, None, key, _plan.GREEDY)
-        return order
+        n_atoms = len(self.codes)
+        if n_atoms <= 1:
+            return _TRIVIAL_ORDERS[n_atoms], True
+        order = self._orders.get(bound)
+        if order is not None:
+            return order, True
+        codes = self.codes
+        strs = self._strs
+        remaining = sorted(range(n_atoms), key=lambda i: strs[i])
+        now_bound = set(bound)
+        ordered = []
+        while remaining:
+            best = min(
+                remaining,
+                key=lambda i: (
+                    len({c for c in codes[i] if c >= 0 and c not in now_bound}),
+                    strs[i],
+                ),
+            )
+            remaining.remove(best)
+            ordered.append(best)
+            now_bound.update(c for c in codes[best] if c >= 0)
+        order = self._orders[bound] = tuple(ordered)
+        return order, False
 
     # -- the search -------------------------------------------------------
 
@@ -162,7 +174,6 @@ class HomSearch:
         *,
         limit: Optional[int] = None,
         ranges: Ranges = None,
-        planner: Optional[str] = None,
     ) -> Iterator[Dict[Term, Term]]:
         """Yield every homomorphism of ``source`` into *target*.
 
@@ -173,8 +184,7 @@ class HomSearch:
         "the instance as of mark m").  *ranges*, aligned with ``source``,
         gives each source atom its own ``(lo, hi)`` window — the delta
         chase's semi-naive pivots.  Windows other than the full index
-        require a WorkingInstance target.  *planner* overrides the process
-        default plan mode for this call (``"cost"`` or ``"greedy"``).
+        require a WorkingInstance target.
         """
         view = view_of(target)
         self.ensure_compiled()
@@ -193,8 +203,7 @@ class HomSearch:
                 else:
                     assign[s] = INTERN.term_id(v)
         bound_key = frozenset(s for s in range(n_slots) if assign[s] >= 0)
-        mode = planner or _plan.default_planner()
-        order, plan_hit = _plan.order_for(self, view, bound_key, mode)
+        order, order_hit = self._order(bound_key)
         n = len(order)
         term_of = INTERN.term
         # Per-search instrumentation, flushed once (see finally below).
@@ -300,8 +309,8 @@ class HomSearch:
                 counts[0],
                 counts[1],
                 counts[2],
-                1 if plan_hit else 0,
-                0 if plan_hit else 1,
+                1 if order_hit else 0,
+                0 if order_hit else 1,
             )
 
     def find(
@@ -311,13 +320,9 @@ class HomSearch:
         *,
         limit: Optional[int] = None,
         ranges: Ranges = None,
-        planner: Optional[str] = None,
     ) -> Optional[Dict[Term, Term]]:
         """The first homomorphism, or None."""
-        return next(
-            self.search(target, fixed, limit=limit, ranges=ranges, planner=planner),
-            None,
-        )
+        return next(self.search(target, fixed, limit=limit, ranges=ranges), None)
 
 
 @lru_cache(maxsize=4096)
@@ -336,7 +341,7 @@ register_cache("kernel.atom_str", atom_str.cache_clear)
 
 
 # ---------------------------------------------------------------------------
-# Module-level conveniences (the shim in core/homomorphism.py calls these)
+# Module-level conveniences (re-exported by core/homomorphism.py)
 # ---------------------------------------------------------------------------
 
 

@@ -12,7 +12,12 @@ exercised on Linux CI too, not just ``fork``.
 
 import multiprocessing as mp
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +263,60 @@ class TestPersistentSubmission:
         assert [o.value for o in pool.run([_EchoJob(1), _EchoJob(2)])] == [1, 2]
         assert [o.value for o in pool.run([_EchoJob(3), _EchoJob(4)])] == [3, 4]
         pool.close()
+
+
+#: Owns a persistent 2-worker pool, prints the worker pids, then idles.
+_POOL_OWNER = """
+import multiprocessing as mp, sys, time
+from repro.engine.jobs import SleepJob
+from repro.engine.pool import WorkerPool
+
+pool = WorkerPool(workers=2, start_method=sys.argv[1])
+for ticket in [pool.submit(SleepJob(0.2, payload=i)) for i in range(2)]:
+    ticket.wait(60)
+print(" ".join(str(p.pid) for p in mp.active_children()), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_owner_is_killed(self, start_method):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER, start_method],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 60)
+            assert ready, "pool owner never reported its workers"
+            pids = [int(p) for p in owner.stdout.readline().split()]
+            assert len(pids) == 2, pids
+            owner.kill()
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [p for p in pids if _running(p)], "orphaned workers"
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait(timeout=10)
+            owner.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestTaskOutcome:

@@ -1,7 +1,8 @@
 """Tests for the indexed homomorphism kernel (``repro.kernel``).
 
 Covers the three kernel pillars — :class:`WorkingInstance` indexing,
-:class:`HomSearch` correctness, and delta-driven trigger discovery — plus
+:class:`HomSearch` correctness (including its one memoized join order),
+and delta-driven trigger discovery — plus
 the contracts the rest of the codebase now relies on: strict and
 canonical delta/naive chase parity over the generator families, the
 ``Instance`` index memos, kernel counter visibility, and the CLI chase
@@ -23,6 +24,7 @@ from repro.core.terms import Constant, Null, NullFactory, Variable
 from repro.engine.canon import canonical_instance, hash_instance
 from repro.evaluation import evaluate_omq
 from repro.generators.databases import random_database
+from repro.generators.random_omqs import FRAGMENTS, random_omq
 from repro.generators.ontologies import (
     guarded_acyclic,
     guarded_reachability,
@@ -36,6 +38,7 @@ from repro.kernel import (
     INTERN,
     KERNEL_METRICS,
     WorkingInstance,
+    compiled_search,
     delta_triggers,
     find_homomorphism,
     homomorphisms,
@@ -152,6 +155,83 @@ class TestBruteForceCrossCheck:
 
 
 # ---------------------------------------------------------------------------
+# The join order: fewest unbound slots first, memoized per bound set
+# ---------------------------------------------------------------------------
+
+w1, w2, w3 = Variable("w1"), Variable("w2"), Variable("w3")
+SKEWED_BODY = (atom("Big", x, y), atom("Wide", x, w1, w2, w3))
+
+
+def skewed_instance(big, wide):
+    atoms = [fact("Big", f"a{i}", f"b{i % 7}") for i in range(big)]
+    atoms += [
+        fact("Wide", f"a{i}", f"p{i}", f"q{i}", f"r{i}") for i in range(wide)
+    ]
+    return WorkingInstance(atoms)
+
+
+class TestJoinOrder:
+    def test_order_is_fewest_unbound_slots_then_atom_string(self):
+        search = compiled_search(SKEWED_BODY)
+        order, _ = search._order(frozenset())
+        # Big has 2 unbound slots, Wide 4: Big first, whatever the sizes.
+        assert [search.source[i].predicate for i in order] == ["Big", "Wide"]
+        tie = compiled_search((atom("S", x, y), atom("R", y, z)))
+        order, _ = tie._order(frozenset())
+        assert [tie.source[i].predicate for i in order] == ["R", "S"]
+
+    def test_frozen_and_working_targets_agree(self):
+        atoms = [fact("E", f"v{i}", f"v{i+1}") for i in range(12)]
+        work = WorkingInstance(atoms)
+        frozen = work.snapshot()
+        body = (atom("E", x, y), atom("E", y, z))
+        on_work = sorted(str(h) for h in compiled_search(body).search(work))
+        on_frozen = sorted(str(h) for h in compiled_search(body).search(frozen))
+        assert on_work == on_frozen
+        assert len(on_work) == 11
+
+    def test_fixed_bindings_pass_through(self):
+        work = WorkingInstance([fact("E", "a", "b"), fact("E", "b", "c")])
+        extra = Variable("unused")
+        fixed = {x: a, extra: Constant("k")}
+        hits = list(compiled_search((atom("E", x, y),)).search(work, fixed))
+        assert hits == [{x: a, y: b, extra: Constant("k")}]
+
+    def test_order_memo_hits_on_repeated_searches(self):
+        repro.clear_caches()
+        work = skewed_instance(big=50, wide=3)
+        search = compiled_search(SKEWED_BODY)
+        list(search.search(work))
+        before = KERNEL_METRICS.snapshot().get("kernel.plan.hits", 0)
+        for _ in range(5):
+            list(search.search(work))
+        snap = KERNEL_METRICS.snapshot()
+        assert snap.get("kernel.plan.hits", 0) == before + 5
+        assert snap.get("kernel.plan.misses", 0) == 1
+
+    def test_order_memo_survives_instance_growth(self):
+        # The order reads no statistics, so a growing target re-derives
+        # nothing.
+        repro.clear_caches()
+        work = skewed_instance(big=50, wide=3)
+        search = compiled_search(SKEWED_BODY)
+        list(search.search(work))
+        work.add(fact("Big", "extra", "b0"))
+        misses_before = KERNEL_METRICS.snapshot().get("kernel.plan.misses", 0)
+        list(search.search(work))
+        misses = KERNEL_METRICS.snapshot().get("kernel.plan.misses", 0)
+        assert misses == misses_before
+
+    def test_clear_caches_leaves_answers_unchanged(self):
+        work = skewed_instance(big=30, wide=2)
+        before = sorted(str(h) for h in compiled_search(SKEWED_BODY).search(work))
+        repro.clear_caches()
+        after = sorted(str(h) for h in compiled_search(SKEWED_BODY).search(work))
+        assert before == after
+        assert len(after) == 2
+
+
+# ---------------------------------------------------------------------------
 # Delta vs naive chase parity
 # ---------------------------------------------------------------------------
 
@@ -192,6 +272,20 @@ class TestChaseParity:
         assert (
             hash_instance(delta.instance) == hash_instance(naive.instance)
         )
+
+
+@pytest.mark.parametrize("seed", [99, 7], ids=["seed99", "seed7"])
+def test_delta_and_naive_chase_agree_on_random_fragments(seed):
+    rng = random.Random(seed)
+    for trial in range(6):
+        fragment = FRAGMENTS[trial % len(FRAGMENTS)]
+        omq = random_omq(fragment, rng)
+        db = random_database(omq.data_schema, 5, 10, seed=trial)
+        repro.clear_caches()
+        delta = chase(db, omq.sigma, strategy="delta", max_steps=5_000)
+        naive = chase(db, omq.sigma, strategy="naive", max_steps=5_000)
+        assert delta.steps == naive.steps
+        assert hash_instance(delta.instance) == hash_instance(naive.instance)
 
 
 class TestCanonicalInstance:
@@ -276,18 +370,6 @@ class TestWorkingInstance:
         assert list(facts[lo:hi]) == [ids("a", "b"), ids("a", "c")]
         assert work.pos_candidates(INTERN.pred_id("S"), 0, a_id) is None
 
-    def test_cardinality_stats_track_live_counts(self):
-        work = WorkingInstance(
-            [fact("R", "a", "b"), fact("R", "a", "c"), fact("P", "a")]
-        )
-        stats = work.cardinality_stats()
-        assert stats["R"] == {"count": 2, "distinct": [1, 2]}
-        assert stats["P"] == {"count": 1, "distinct": [1]}
-        pid = INTERN.pred_id("R")
-        assert work.pred_count(pid) == 2
-        assert work.distinct_count(pid, 0) == 1
-        assert work.distinct_count(pid, 1) == 2
-
     def test_interned_state_rebuilds_after_table_clear(self):
         work = WorkingInstance([fact("R", "a", "b"), fact("R", "b", "c")])
         body = (atom("R", x, y),)
@@ -295,7 +377,8 @@ class TestWorkingInstance:
         INTERN.clear()
         after = sorted(str(h) for h in homomorphisms(body, work))
         assert after == before
-        assert work.pred_count(INTERN.pred_id("R")) == 2
+        _, lo, hi = work.pred_candidates(INTERN.pred_id("R"))
+        assert hi - lo == 2
 
     def test_trusted_instance_equals_validated(self):
         atoms = frozenset([fact("R", "a", "b")])
